@@ -44,7 +44,7 @@ Cpu::translate(Addr vaddr, AccessType type)
                 e->prot.userAccessible) {
                 tlb_.noteL0Hit();
                 return {e->pframeBase | pageOffset(vaddr),
-                        e->prot.writable};
+                        e->prot.writable, e->tlbSlot};
             }
         }
     }
@@ -59,18 +59,12 @@ Cpu::translate(Addr vaddr, AccessType type)
     }
     fatalIf(result.protFault,
             "protection fault at 0x", std::hex, vaddr);
-    bool writable = false;
-    if (result.slot >= 0) {
-        const TlbEntry &entry =
-            tlb_.entryAt(static_cast<unsigned>(result.slot));
-        writable = entry.prot.writable;
-        if (l0_.enabled()) {
-            l0_.fill(vaddr, entry,
-                     static_cast<unsigned>(result.slot),
-                     tlb_.translationEpoch());
-        }
-    }
-    return {result.paddr, writable};
+    // A permitted hit always names its slot.
+    const auto slot = static_cast<unsigned>(result.slot);
+    const TlbEntry &entry = tlb_.entryAt(slot);
+    if (l0_.enabled())
+        l0_.fill(vaddr, entry, slot, tlb_.translationEpoch());
+    return {result.paddr, entry.prot.writable, slot};
 }
 
 void
@@ -81,12 +75,10 @@ Cpu::executeAtSlow(Counter n, Addr code_vaddr)
     ++ifetchChecks_;
     if (!uitlb_.hit(code_vaddr)) {
         // The unified TLB provides the translation; it may trap.
-        translate(code_vaddr, AccessType::IFetch);
-        // Cache the translation in the micro-ITLB for subsequent
-        // sequential fetches.
-        auto entry = tlb_.probe(code_vaddr);
-        panicIf(!entry, "ITLB fill lost its unified-TLB entry");
-        uitlb_.fill(*entry);
+        // Cache the entry that supplied it in the micro-ITLB for
+        // subsequent sequential fetches.
+        const Translation tr = translate(code_vaddr, AccessType::IFetch);
+        uitlb_.fill(tlb_.entryAt(tr.slot));
     }
     // Retire directly rather than through execute(): the public
     // executeAt() entry already fed the recorder for this op.

@@ -312,11 +312,13 @@ class Cpu
 
   private:
     /** A translation plus the protection bit the batch engine needs
-     *  to accept stores without re-consulting the TLB. */
+     *  to accept stores without re-consulting the TLB, and the TLB
+     *  slot that supplied it (the micro-ITLB fills from it). */
     struct Translation
     {
         Addr paddr = 0;
         bool writable = false;
+        unsigned slot = 0;
     };
 
     /** One memoized page the batch engine may replay on: the
@@ -441,7 +443,7 @@ class Cpu
 
     /** Translate @p vaddr, trapping to the kernel on a TLB miss.
      *  Returns the (possibly shadow) physical address plus the
-     *  page's write permission. */
+     *  page's write permission and the TLB slot that mapped it. */
     Translation translate(Addr vaddr, AccessType type);
 
     /** Name this core as the machine's active requester before any

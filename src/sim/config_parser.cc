@@ -4,6 +4,7 @@
 #include <cctype>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -28,6 +29,11 @@ trim(const std::string &s)
 std::uint64_t
 parseUnsigned(const std::string &key, const std::string &value)
 {
+    // std::stoull accepts a sign and negates modulo 2^64, so "-5"
+    // would come back as 2^64 - 5.
+    const auto first = value.find_first_not_of(" \t");
+    fatalIf(first != std::string::npos && value[first] == '-',
+            "config key '", key, "': '", value, "' is negative");
     std::size_t pos = 0;
     std::uint64_t result = 0;
     try {
@@ -39,6 +45,18 @@ parseUnsigned(const std::string &key, const std::string &value)
     fatalIf(pos != value.size(), "config key '", key,
             "': trailing characters in '", value, "'");
     return result;
+}
+
+/** parseUnsigned() for a 32-bit field: out-of-range values are
+ *  rejected instead of truncated. */
+unsigned
+parseUnsigned32(const std::string &key, const std::string &value)
+{
+    const std::uint64_t result = parseUnsigned(key, value);
+    fatalIf(result > std::numeric_limits<unsigned>::max(), "config key '",
+            key, "': ", value, " is out of range (max ",
+            std::numeric_limits<unsigned>::max(), ")");
+    return static_cast<unsigned>(result);
 }
 
 bool
@@ -70,7 +88,7 @@ makeSetters()
     return {
         {"cores",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cores = static_cast<unsigned>(parseUnsigned(k, v));
+             c.cores = parseUnsigned32(k, v);
              fatalIf(c.cores == 0, "config key '", k,
                      "': a machine needs at least one core");
          }},
@@ -84,8 +102,7 @@ makeSetters()
          }},
         {"tlb.entries",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.tlbEntries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.tlbEntries = parseUnsigned32(k, v);
          }},
         {"mtlb.enabled",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -93,13 +110,11 @@ makeSetters()
          }},
         {"mtlb.entries",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.mtlb.numEntries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.mtlb.numEntries = parseUnsigned32(k, v);
          }},
         {"mtlb.assoc",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.mtlb.associativity =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.mtlb.associativity = parseUnsigned32(k, v);
          }},
         {"mtlb.writeback_bits",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -119,8 +134,7 @@ makeSetters()
          }},
         {"mem.phys_addr_bits",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.physAddrBits =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.physAddrBits = parseUnsigned32(k, v);
          }},
         {"cache.size_kb",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -140,8 +154,7 @@ makeSetters()
          }},
         {"dram.banks",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.dram.numBanks =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.dram.numBanks = parseUnsigned32(k, v);
          }},
         {"stream_buffers.enabled",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -149,13 +162,11 @@ makeSetters()
          }},
         {"stream_buffers.count",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.streamBuffers.numBuffers =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.streamBuffers.numBuffers = parseUnsigned32(k, v);
          }},
         {"stream_buffers.depth",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.streamBuffers.depth =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.streamBuffers.depth = parseUnsigned32(k, v);
          }},
         {"cpu.load_use_overlap",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -167,8 +178,7 @@ makeSetters()
          }},
         {"cpu.l0_entries",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cpu.l0Entries =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.cpu.l0Entries = parseUnsigned32(k, v);
          }},
         {"cpu.batch_enable",
          [](SystemConfig &c, const auto &k, const auto &v) {
@@ -176,8 +186,7 @@ makeSetters()
          }},
         {"cpu.batch_window",
          [](SystemConfig &c, const auto &k, const auto &v) {
-             c.cpu.batchWindow =
-                 static_cast<unsigned>(parseUnsigned(k, v));
+             c.cpu.batchWindow = parseUnsigned32(k, v);
          }},
         {"kernel.superpages",
          [](SystemConfig &c, const auto &k, const auto &v) {

@@ -1,5 +1,7 @@
 #include "tlb/tlb.hh"
 
+#include <algorithm>
+
 namespace mtlbsim
 {
 
@@ -16,7 +18,6 @@ sizeClassFor(Addr bytes)
 Tlb::Tlb(unsigned num_entries, const std::string &name,
          stats::StatGroup &parent)
     : numEntries_(num_entries),
-      entries_(num_entries),
       statGroup_(name),
       hits_(statGroup_.addScalar("hits", "TLB hits")),
       misses_(statGroup_.addScalar("misses", "TLB misses")),
@@ -27,10 +28,71 @@ Tlb::Tlb(unsigned num_entries, const std::string &name,
                                       "entries evicted by NRU"))
 {
     fatalIf(num_entries == 0, "TLB must have at least one entry");
+    fatalIf(num_entries > maxEntries, "TLB capacity ", num_entries,
+            " exceeds the largest supported, ", maxEntries);
     parent.addChild(&statGroup_);
+    entries_.resize(num_entries);
+    // Twice the capacity keeps every class's table at most half
+    // full, however the entries split across classes.
+    const unsigned bits = ceilLog2(2 * std::uint64_t{num_entries});
+    indexSize_ = 1u << bits;
+    indexHashShift_ = 64 - bits;
+    index_.resize(std::size_t{numPageSizeClasses} * indexSize_);
+    purgeSlots_.reserve(num_entries);
     freeList_.reserve(num_entries);
     for (unsigned i = 0; i < num_entries; ++i)
         freeList_.push_back(num_entries - 1 - i);
+}
+
+unsigned
+Tlb::indexFind(unsigned c, Addr key) const
+{
+    const IndexSlot *table = &index_[std::size_t{c} * indexSize_];
+    const unsigned mask = indexSize_ - 1;
+    for (unsigned pos = indexHome(key);; pos = (pos + 1) & mask) {
+        const IndexSlot &rec = table[pos];
+        if (rec.slot == noSlot || rec.key == key)
+            return rec.slot;
+    }
+}
+
+void
+Tlb::indexInsert(unsigned c, Addr key, unsigned slot)
+{
+    IndexSlot *table = &index_[std::size_t{c} * indexSize_];
+    const unsigned mask = indexSize_ - 1;
+    unsigned pos = indexHome(key);
+    while (table[pos].slot != noSlot) {
+        panicIf(table[pos].key == key, "TLB index key inserted twice");
+        pos = (pos + 1) & mask;
+    }
+    table[pos] = {key, slot};
+}
+
+void
+Tlb::indexErase(unsigned c, Addr key)
+{
+    IndexSlot *table = &index_[std::size_t{c} * indexSize_];
+    const unsigned mask = indexSize_ - 1;
+    unsigned hole = indexHome(key);
+    for (;; hole = (hole + 1) & mask) {
+        panicIf(table[hole].slot == noSlot, "TLB index lost a key");
+        if (table[hole].key == key)
+            break;
+    }
+    // Backward-shift deletion: pull later records of the probe run
+    // into the hole whenever it lies on their path from home, so no
+    // tombstones are needed and lookups stop at the first empty
+    // position.
+    for (unsigned next = (hole + 1) & mask; table[next].slot != noSlot;
+         next = (next + 1) & mask) {
+        const unsigned home = indexHome(table[next].key);
+        if (((next - home) & mask) >= ((next - hole) & mask)) {
+            table[hole] = table[next];
+            hole = next;
+        }
+    }
+    table[hole].slot = noSlot;
 }
 
 int
@@ -39,10 +101,9 @@ Tlb::findEntry(Addr vaddr) const
     for (unsigned c = 0; c < numPageSizeClasses; ++c) {
         if (liveInClass_[c] == 0)
             continue;
-        const Addr key = vaddr >> pageShiftForClass(c);
-        auto it = index_[c].find(key);
-        if (it != index_[c].end())
-            return static_cast<int>(it->second);
+        const unsigned slot = indexFind(c, vaddr >> pageShiftForClass(c));
+        if (slot != noSlot)
+            return static_cast<int>(slot);
     }
     return -1;
 }
@@ -106,7 +167,7 @@ Tlb::dropEntry(unsigned idx)
     TlbEntry &e = entries_[idx];
     panicIf(!e.valid, "dropping an invalid TLB entry");
     const unsigned c = e.sizeClass;
-    index_[c].erase(e.vbase >> pageShiftForClass(c));
+    indexErase(c, e.vbase >> pageShiftForClass(c));
     --liveInClass_[c];
     e.valid = false;
     e.pinned = false;
@@ -127,12 +188,9 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     fatalIf(pbase & (size - 1),
             "physical base not aligned to its superpage size");
 
-    // Discard overlapping pre-existing mappings (§2.3).
+    // Discard overlapping pre-existing mappings (§2.3), including
+    // any larger mapping that covers vbase.
     purgeRange(vbase, size);
-    // An existing larger mapping covering vbase also overlaps.
-    const int covering = findEntry(vbase);
-    if (covering >= 0)
-        dropEntry(static_cast<unsigned>(covering));
 
     unsigned idx;
     if (!freeList_.empty()) {
@@ -154,7 +212,7 @@ Tlb::insert(Addr vbase, Addr pbase, unsigned size_class,
     e.pinned = pinned;
     e.referenced = true;
 
-    index_[size_class][vbase >> pageShiftForClass(size_class)] = idx;
+    indexInsert(size_class, vbase >> pageShiftForClass(size_class), idx);
     ++liveInClass_[size_class];
     ++inserts_;
     // A new mapping (and a possible NRU reference-bit reset inside
@@ -166,14 +224,46 @@ void
 Tlb::purgeRange(Addr vbase, Addr bytes)
 {
     const Addr vend = vbase + bytes;
-    for (unsigned i = 0; i < numEntries_; ++i) {
-        TlbEntry &e = entries_[i];
-        if (!e.valid)
-            continue;
-        const Addr e_end = e.vbase + e.size();
-        if (e.vbase < vend && vbase < e_end)
-            dropEntry(i);
+    // An entry of class c overlaps the range iff its key lies in
+    // [vbase >> shift, (vend - 1) >> shift]. Probe those keys unless,
+    // counted over all classes, they outnumber the entries; an empty
+    // or wrapping range keeps the scan's exact semantics.
+    Addr keys = 0;
+    if (vend > vbase) {
+        for (unsigned c = 0; c < numPageSizeClasses; ++c) {
+            const unsigned shift = pageShiftForClass(c);
+            keys += ((vend - 1) >> shift) - (vbase >> shift) + 1;
+        }
     }
+    if (keys == 0 || keys > numEntries_) {
+        for (unsigned i = 0; i < numEntries_; ++i) {
+            TlbEntry &e = entries_[i];
+            if (!e.valid)
+                continue;
+            const Addr e_end = e.vbase + e.size();
+            if (e.vbase < vend && vbase < e_end)
+                dropEntry(i);
+        }
+        return;
+    }
+
+    purgeSlots_.clear();
+    for (unsigned c = 0; c < numPageSizeClasses; ++c) {
+        if (liveInClass_[c] == 0)
+            continue;
+        const unsigned shift = pageShiftForClass(c);
+        const Addr last = (vend - 1) >> shift;
+        for (Addr key = vbase >> shift; key <= last; ++key) {
+            const unsigned slot = indexFind(c, key);
+            if (slot != noSlot)
+                purgeSlots_.push_back(slot);
+        }
+    }
+    // Drop in ascending slot order, as the scan does: the free list,
+    // and through it NRU replacement, depends on this order.
+    std::sort(purgeSlots_.begin(), purgeSlots_.end());
+    for (const unsigned slot : purgeSlots_)
+        dropEntry(slot);
 }
 
 void

@@ -15,13 +15,25 @@
  * this class only tracks the architectural content and hit/miss
  * statistics. A single pinned "block TLB" entry maps kernel code and
  * data and is never replaced (§3.2).
+ *
+ * Host-side layout: entries live in a slot array, and each size
+ * class has a flat open-addressed index (key vaddr >> shift -> slot,
+ * linear probing, backward-shift deletion, sized from the capacity
+ * at construction), so lookup, insert and drop probe at most one
+ * key per class and the miss path allocates nothing. purgeRange()
+ * probes the index for every key its range spans in each live class
+ * when those keys, counted over all classes, do not outnumber the
+ * entries; a wider range (a 4 MB remap, a 64 MB superpage insert)
+ * scans the slot array instead. Both ways drop the overlapping
+ * entries in ascending slot order, which is the order the free list
+ * and hence NRU replacement depend on, so the simulated behaviour is
+ * independent of which way a purge went.
  */
 
 #ifndef MTLBSIM_TLB_TLB_HH
 #define MTLBSIM_TLB_TLB_HH
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "base/intmath.hh"
@@ -110,8 +122,14 @@ struct TlbLookupResult
 class Tlb
 {
   public:
+    /** Largest capacity a TLB may be built with; it bounds the flat
+     *  index (numPageSizeClasses tables of 2x the capacity, rounded
+     *  up to a power of two) to 16 MB. */
+    static constexpr unsigned maxEntries = 1u << 16;
+
     /**
      * @param num_entries capacity including the pinned block entry
+     *                    (1..maxEntries)
      * @param name        stats group name (e.g. "dtlb")
      */
     Tlb(unsigned num_entries, const std::string &name,
@@ -220,10 +238,35 @@ class Tlb
     {
         return static_cast<std::uint64_t>(misses_.value());
     }
+    std::uint64_t evictions() const
+    {
+        return static_cast<std::uint64_t>(evictions_.value());
+    }
 
   private:
-    /** Map key for the per-size-class lookup index. */
-    using VpnMap = std::unordered_map<Addr, unsigned>;
+    /** Index record marker for an empty position. */
+    static constexpr unsigned noSlot = ~0u;
+
+    /** One position of a size class's open-addressed index. */
+    struct IndexSlot
+    {
+        Addr key = 0;           ///< vaddr >> pageShiftForClass(class)
+        unsigned slot = noSlot; ///< entry slot; noSlot if empty
+    };
+
+    /** Home position of @p key in every class's table. */
+    unsigned
+    indexHome(Addr key) const
+    {
+        // Fibonacci hashing: consecutive page numbers spread evenly.
+        return static_cast<unsigned>((key * 0x9e3779b97f4a7c15ULL) >>
+                                     indexHashShift_);
+    }
+
+    /** Slot indexed under @p key in class @p c, or noSlot. */
+    unsigned indexFind(unsigned c, Addr key) const;
+    void indexInsert(unsigned c, Addr key, unsigned slot);
+    void indexErase(unsigned c, Addr key);
 
     int findEntry(Addr vaddr) const;
     unsigned pickVictim();
@@ -232,10 +275,17 @@ class Tlb
     unsigned numEntries_;
     std::vector<TlbEntry> entries_;
     std::vector<unsigned> freeList_;
-    /** Per-size-class index: (vaddr >> shift) -> entry slot. Only
-     *  classes with live entries are probed on lookup. */
-    VpnMap index_[numPageSizeClasses];
+    /** Per-size-class flat index, numPageSizeClasses tables of
+     *  indexSize_ positions each: (vaddr >> shift) -> entry slot.
+     *  A table is at most half full, so every probe meets an empty
+     *  position. Only classes with live entries are probed. */
+    std::vector<IndexSlot> index_;
+    unsigned indexSize_ = 0;      ///< positions per class (power of 2)
+    unsigned indexHashShift_ = 0; ///< 64 - log2(indexSize_)
     unsigned liveInClass_[numPageSizeClasses] = {};
+    /** Slots found by a probing purgeRange(), reserved to the
+     *  capacity so the purge never allocates. */
+    std::vector<unsigned> purgeSlots_;
     unsigned nruClock_ = 0; ///< rotating start point for victim scan
     /** Translation epoch; starts at 1 so a zero-initialized L0 entry
      *  can never appear live. */

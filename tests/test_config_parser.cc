@@ -76,6 +76,41 @@ TEST(ConfigParserTest, BadValuesAreFatal)
     EXPECT_THROW(parser.set("mtlb.enabled", "maybe"), FatalError);
 }
 
+TEST(ConfigParserTest, NegativeUnsignedIsFatal)
+{
+    // std::stoull would wrap "-5" to 2^64 - 5 (4294967291 once cast
+    // to 32 bits), and the TLB would then try to allocate that many
+    // entries.
+    ConfigParser parser;
+    EXPECT_THROW(parser.set("tlb.entries", "-5"), FatalError);
+    EXPECT_THROW(parser.set("tlb.entries", " -5"), FatalError);
+    EXPECT_THROW(parser.set("kernel.frame_seed", "-1"), FatalError);
+    EXPECT_EQ(parser.config().tlbEntries, 96u);
+}
+
+TEST(ConfigParserTest, OutOfRange32BitValueIsFatal)
+{
+    ConfigParser parser;
+    EXPECT_THROW(parser.set("tlb.entries", "4294967296"), FatalError);
+    EXPECT_THROW(parser.set("cpu.l0_entries", "4294967296"), FatalError);
+    EXPECT_THROW(parser.set("cores", "18446744073709551617"), FatalError);
+    parser.set("mtlb.assoc", "4294967295");
+    EXPECT_EQ(parser.config().mtlb.associativity, 4294967295u);
+    // 64-bit keys still take the full range.
+    parser.set("kernel.frame_seed", "4294967296");
+    EXPECT_EQ(parser.config().kernel.frameSeed, 4294967296u);
+}
+
+TEST(ConfigParserTest, OversizedTlbFailsAtConstruction)
+{
+    // In range for the parser, but the TLB's index could not be
+    // bounded: the machine must refuse to build instead of
+    // allocating without bound.
+    ConfigParser parser;
+    parser.set("tlb.entries", "4294967295");
+    EXPECT_THROW(System sys(parser.config()), FatalError);
+}
+
 TEST(ConfigParserTest, StreamWithCommentsAndBlanks)
 {
     std::istringstream in(R"(
