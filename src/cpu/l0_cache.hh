@@ -64,12 +64,21 @@ struct L0Entry
 class L0TranslationCache
 {
   public:
+    /** Largest capacity accepted, checked before anything is
+     *  allocated: a few MB of entries per core, far past the size
+     *  at which a larger memo stops adding hits. */
+    static constexpr unsigned maxEntries = 1u << 16;
+
     explicit L0TranslationCache(unsigned num_entries)
-        : entries_(num_entries), mask_(num_entries - 1)
+        : mask_(num_entries - 1)
     {
+        fatalIf(num_entries > maxEntries, "config key 'cpu.l0_entries': ",
+                num_entries, " exceeds the largest supported, ",
+                maxEntries);
         fatalIf(num_entries != 0 && !isPowerOf2(num_entries),
-                "cpu.l0_entries must be 0 or a power of two, got ",
-                num_entries);
+                "config key 'cpu.l0_entries': must be 0 or a power of "
+                "two, got ", num_entries);
+        entries_.resize(num_entries);
     }
 
     bool enabled() const { return !entries_.empty(); }

@@ -7,8 +7,19 @@
  * captured by running its workload on a scratch single-core machine
  * (same configuration, checks off) with the CPU's recorder hook
  * attached; the captured image — declared regions, heap parameters,
- * and the full CpuOpRecord stream — can then be replayed into any
+ * and the full operation stream — can then be replayed into any
  * process of any machine.
+ *
+ * The stream is one immutable vector of 64-bit words, shared by every
+ * copy of the image (a mix that repeats a program copies the image,
+ * not the ops). Most ops take one word: bits 0-2 hold the
+ * CpuOpRecord::Kind and bit 3 is the wide flag. Load and Store keep
+ * their address in bits 4-63; Execute, Sbrk and SetSbrkPrealloc
+ * keep their count in bits 4-63; ExecuteAt, Remap and Recolor keep
+ * an address below 2^40 in bits 24-63 and a count below 2^20 in bits
+ * 4-23. Any other op is a three-word escape — the kind with the wide
+ * flag set, then a, then n — so every CpuOpRecord round-trips
+ * exactly (encodeOp/decodeOp).
  *
  * runMultiprogMix() assigns M captured programs to the kernel's M
  * processes and time-slices them over the machine's N cores with a
@@ -19,7 +30,13 @@
  * ASID-less TLB forces that). Cores advance in global time order —
  * always the core with the smallest clock issues next — so a mix's
  * interleaving is a pure function of its inputs and results are
- * deterministic for any host thread count.
+ * deterministic for any host thread count. The selected core issues
+ * ops in a burst until its clock reaches the smallest rival clock
+ * (plus one when the rival has the higher id, which loses ties),
+ * its slice ends or its program does. That is the one-op-per-
+ * selection order exactly: during a burst rival clocks only grow
+ * (shootdown IPIs are charged to them), so the bound taken before
+ * the burst can only end it early, never late.
  *
  * With one core and one process no slice ever has a rival, the
  * initial binding is a no-op, and replay degenerates to exactly the
@@ -30,6 +47,8 @@
 #ifndef MTLBSIM_WORKLOADS_MULTIPROG_HH
 #define MTLBSIM_WORKLOADS_MULTIPROG_HH
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,8 +71,17 @@ struct ProgramImage
     bool hasHeap = false;
     Addr heapBase = 0;
     Addr heapBytes = 0;
-    std::vector<CpuOpRecord> ops;
+    /** The encoded op stream (see the file comment); shared, never
+     *  written after capture. */
+    std::shared_ptr<const std::vector<std::uint64_t>> ops;
 };
+
+/** Append @p op to @p words in the image encoding. */
+void encodeOp(const CpuOpRecord &op, std::vector<std::uint64_t> &words);
+
+/** Decode the op whose first word is @p word into @p op; returns the
+ *  words it takes (1, or 3 for the escape). */
+std::size_t decodeOp(const std::uint64_t *word, CpuOpRecord &op);
 
 /**
  * Capture @p workload_name's operation stream by running it to

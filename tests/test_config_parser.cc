@@ -10,8 +10,11 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
+#include "cpu/l0_cache.hh"
 #include "sim/config_parser.hh"
+#include "sim/system.hh"
 
 using namespace mtlbsim;
 
@@ -109,6 +112,27 @@ TEST(ConfigParserTest, OversizedTlbFailsAtConstruction)
     ConfigParser parser;
     parser.set("tlb.entries", "4294967295");
     EXPECT_THROW(System sys(parser.config()), FatalError);
+}
+
+TEST(ConfigParserTest, OversizedL0FailsBeforeAllocating)
+{
+    // A power of two the parser accepts, but 2^31 entries would
+    // end in std::bad_alloc: the machine must refuse with a
+    // diagnostic naming the key instead.
+    ConfigParser parser;
+    parser.set("cpu.l0_entries", "2147483648");
+    try {
+        System sys(parser.config());
+        ADD_FAILURE() << "an oversized L0 was built";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "config key 'cpu.l0_entries'"),
+                  std::string::npos)
+            << e.what();
+    }
+    parser.set("cpu.l0_entries",
+               std::to_string(L0TranslationCache::maxEntries));
+    EXPECT_NO_THROW(System sys(parser.config()));
 }
 
 TEST(ConfigParserTest, StreamWithCommentsAndBlanks)

@@ -1,9 +1,11 @@
 /**
  * @file
  * Multi-core machine-model tests: single-core equivalence of the
- * multiprogramming replay path, shootdown semantics at each of the
- * six kernel mutation sites, scheduler determinism across sweep
- * worker counts, and audited end-to-end multiprogrammed runs.
+ * multiprogramming replay path for every paper workload, the
+ * program-image op encoding, shootdown semantics at each of the six
+ * kernel mutation sites, scheduler determinism (across sweep worker
+ * counts, and a pinned stress interleaving), and audited end-to-end
+ * multiprogrammed runs.
  *
  * The single-core byte-identity against the committed pre-refactor
  * baselines is enforced separately by tests/test_golden_stats.cc;
@@ -14,9 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "base/random.hh"
 #include "check/translation_auditor.hh"
 #include "equivalence.hh"
 #include "sim/system.hh"
@@ -61,23 +66,33 @@ warmCore(System &sys, unsigned core, Addr addr)
 
 // --- Single-core equivalence -------------------------------------
 
-TEST(MulticoreEquivalence, OneCoreOneProcessReplayIsByteIdentical)
+class OneCoreReplay : public ::testing::TestWithParam<const char *>
 {
-    // A 1-core machine replaying a 1-process "mix" must be
-    // indistinguishable — cycles, stats text, stats JSON — from the
-    // same machine driving the workload directly.
-    const SystemConfig config = multicoreConfig(1);
+};
 
-    const auto direct = testeq::runConfigured(config, [](System &s) {
-        auto w = makeWorkload("em3d", 0.02, 0);
+TEST_P(OneCoreReplay, IsByteIdenticalToTheDirectRun)
+{
+    // Capturing a program and replaying it as a 1-process "mix" on
+    // an identical 1-core machine must be indistinguishable —
+    // cycles, stats text, stats JSON — from driving the workload
+    // directly.
+    const SystemConfig config = multicoreConfig(1);
+    const std::string name = GetParam();
+
+    const auto direct = testeq::runConfigured(config, [&](System &s) {
+        auto w = makeWorkload(name, 0.02, 0);
         w->setup(s);
         w->run(s);
     });
-    const auto replay = testeq::runConfigured(config, [](System &s) {
-        runMultiprogMix(s, {"em3d"}, 0.02, 0);
+    const auto replay = testeq::runConfigured(config, [&](System &s) {
+        runMultiprogMix(s, {name}, 0.02, 0);
     });
-    testeq::expectIdentical(direct, replay, "em3d 1x1 replay");
+    testeq::expectIdentical(direct, replay, name + " 1x1 replay");
 }
+
+INSTANTIATE_TEST_SUITE_P(PaperWorkloads, OneCoreReplay,
+                         ::testing::Values("compress95", "vortex",
+                                           "radix", "em3d", "cc1"));
 
 TEST(MulticoreEquivalence, SingleCoreConfigHasNoPerCoreGroups)
 {
@@ -88,6 +103,123 @@ TEST(MulticoreEquivalence, SingleCoreConfigHasNoPerCoreGroups)
     EXPECT_EQ(json.find("core1"), std::string::npos);
     EXPECT_EQ(json.find("mtlb_port"), std::string::npos);
     EXPECT_EQ(json.find("shootdowns"), std::string::npos);
+}
+
+// --- Program images ----------------------------------------------
+
+namespace
+{
+
+/** Words encodeOp spends on @p op. */
+std::size_t
+encodedWords(const CpuOpRecord &op)
+{
+    std::vector<std::uint64_t> words;
+    encodeOp(op, words);
+    return words.size();
+}
+
+} // namespace
+
+TEST(ProgramImageCodec, EveryKindRoundTripsAtItsNarrowLimits)
+{
+    constexpr std::uint64_t top = ~std::uint64_t{0};
+    constexpr std::uint64_t oneWord = top >> 4;            // bits 4-63
+    constexpr std::uint64_t pairAddr = (1ull << 40) - 1;   // bits 24-63
+    constexpr std::uint64_t pairCount = (1ull << 20) - 1;  // bits 4-23
+    const std::vector<std::uint64_t> values{
+        0, 1, pairCount, pairCount + 1, pairAddr, pairAddr + 1,
+        oneWord, oneWord + 1, top};
+
+    std::vector<CpuOpRecord> ops;
+    for (unsigned k = 0; k < 8; ++k) {
+        for (std::uint64_t a : values) {
+            for (std::uint64_t n : values)
+                ops.push_back({static_cast<CpuOpRecord::Kind>(k), a, n});
+        }
+    }
+    std::vector<std::uint64_t> words;
+    for (const CpuOpRecord &op : ops)
+        encodeOp(op, words);
+    std::size_t at = 0;
+    for (const CpuOpRecord &op : ops) {
+        ASSERT_LT(at, words.size());
+        CpuOpRecord got;
+        at += decodeOp(words.data() + at, got);
+        EXPECT_EQ(got.kind, op.kind);
+        EXPECT_EQ(got.a, op.a);
+        EXPECT_EQ(got.n, op.n);
+    }
+    EXPECT_EQ(at, words.size());
+
+    // One word up to each narrow limit, the three-word escape one
+    // past it.
+    using Kind = CpuOpRecord::Kind;
+    for (Kind k : {Kind::Load, Kind::Store}) {
+        EXPECT_EQ(encodedWords({k, oneWord, 0}), 1u);
+        EXPECT_EQ(encodedWords({k, oneWord + 1, 0}), 3u);
+        EXPECT_EQ(encodedWords({k, 0, 1}), 3u);
+    }
+    for (Kind k : {Kind::Execute, Kind::Sbrk, Kind::SetSbrkPrealloc}) {
+        EXPECT_EQ(encodedWords({k, 0, oneWord}), 1u);
+        EXPECT_EQ(encodedWords({k, 0, oneWord + 1}), 3u);
+        EXPECT_EQ(encodedWords({k, 1, 0}), 3u);
+    }
+    for (Kind k : {Kind::ExecuteAt, Kind::Remap, Kind::Recolor}) {
+        EXPECT_EQ(encodedWords({k, pairAddr, pairCount}), 1u);
+        EXPECT_EQ(encodedWords({k, pairAddr + 1, pairCount}), 3u);
+        EXPECT_EQ(encodedWords({k, pairAddr, pairCount + 1}), 3u);
+    }
+}
+
+TEST(ProgramImageCodec, RecordedRunReplaysExactlyThroughEscapes)
+{
+    // Record a hand-driven run, then replay the image on an
+    // identically configured machine: cycles and stats must match
+    // byte for byte. The 1 MB remap is one past the narrow count
+    // limit, so the replay also takes the escape path.
+    const SystemConfig config = multicoreConfig(1);
+    ProgramImage image;
+    image.workload = "synthetic";
+    auto words = std::make_shared<std::vector<std::uint64_t>>();
+    std::size_t recorded = 0;
+
+    const auto direct = testeq::runConfigured(config, [&](System &s) {
+        addData(s, 2 * MB);
+        s.cpu().setRecorder([&](const CpuOpRecord &op) {
+            encodeOp(op, *words);
+            ++recorded;
+        });
+        s.cpu().remap(dataBase, 1 * MB);
+        Random rng(3);
+        for (int i = 0; i < 20'000; ++i) {
+            s.cpu().execute(4);
+            const Addr a = dataBase + (rng.below(2 * MB) & ~Addr{7});
+            if (rng.chance(1, 3))
+                s.cpu().store(a);
+            else
+                s.cpu().load(a);
+        }
+        image.regions = s.kernel().addressSpace().regions();
+    });
+    EXPECT_EQ(words->size(), recorded + 2);   // one escape
+    image.ops = words;
+
+    const auto replay = testeq::runConfigured(config, [&](System &s) {
+        runPrograms(s, {image});
+    });
+    testeq::expectIdentical(direct, replay, "synthetic replay");
+}
+
+TEST(ProgramImageCodec, CopiedImageSharesItsStream)
+{
+    const ProgramImage image =
+        captureProgram("compress95", 0.01, 0, multicoreConfig(1));
+    ASSERT_TRUE(image.ops);
+    EXPECT_FALSE(image.ops->empty());
+    const ProgramImage copy = image;
+    EXPECT_EQ(copy.ops.get(), image.ops.get());
+    EXPECT_EQ(image.ops.use_count(), 2);
 }
 
 // --- Shootdown unit tests: the six kernel mutation sites ----------
@@ -301,6 +433,30 @@ TEST(Scheduler, DeterministicAcrossSweepWorkerCounts)
     const std::string serial = serialized(1);
     EXPECT_EQ(serialized(4), serial);
     EXPECT_EQ(serialized(8), serial);
+}
+
+TEST(Scheduler, StressMixInterleavingIsPinned)
+{
+    // 3 cores x 7 processes under a short quantum: the dispatcher's
+    // runs on one core end on slice expiry, on program end and on
+    // rival clocks pushed forward by shootdown IPIs. The digest was
+    // recorded with the one-op-per-selection dispatcher, so any
+    // reordering of the interleaving shows here.
+    SystemConfig config = multicoreConfig(3);
+    config.sched.quantum = 40'000;
+    System sys(config);
+    const Cycles total = runMultiprogMix(
+        sys, {"compress95", "vortex", "radix", "em3d", "cc1",
+              "compress95", "em3d"},
+        0.01, 3);
+
+    EXPECT_EQ(sys.kernel().numProcesses(), 7u);
+    for (unsigned c = 0; c < 3; ++c)
+        EXPECT_GT(sys.kernel().shootdownsReceived(c), 0u) << c;
+    EXPECT_EQ(total, 29'676'958u);
+    EXPECT_EQ(sweep::SweepRunner::deriveSeed(
+                  sys.rootStats().toJson().dumped()),
+              11099064184287552107ull);
 }
 
 // --- Audited end-to-end runs --------------------------------------
